@@ -1,12 +1,13 @@
 // Package-level benchmarks regenerating the paper's artifacts under
-// `go test -bench`. One benchmark per table/figure (DESIGN.md experiment
-// index E1-E8), at a reduced scale so the full suite stays minutes-fast:
+// `go test -bench`. One benchmark per table/figure, at a reduced scale
+// (docs/ARCHITECTURE.md § Substitutions, item 4) so the full suite stays
+// minutes-fast:
 //
-//	BenchmarkTable1_*      one Table 1 row per benchmark program (E1, E8)
-//	BenchmarkFig6_*        per-input speedup distribution (E2)
-//	BenchmarkFig7Model     theoretical-model curves (E3, E4)
-//	BenchmarkFig8_*        speedup vs #landmarks sweep (E5)
-//	BenchmarkAblation_*    K-means vs random landmark selection (E7)
+//	BenchmarkTable1_*      one Table 1 row per benchmark program
+//	BenchmarkFig6_*        per-input speedup distribution
+//	BenchmarkFig7Model     theoretical-model curves
+//	BenchmarkFig8_*        speedup vs #landmarks sweep
+//	BenchmarkAblation_*    K-means vs random landmark selection
 //
 // The measured op/ns numbers are secondary; the point is that each bench
 // reproduces its artifact end to end and reports headline metrics via

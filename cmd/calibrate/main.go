@@ -1,5 +1,5 @@
-// Command calibrate validates the virtual-time cost model (DESIGN.md
-// substitution 1) against wall-clock reality on this machine: it runs each
+// Command calibrate validates the virtual-time cost model
+// (docs/ARCHITECTURE.md § Substitutions, item 1) against wall-clock reality on this machine: it runs each
 // sorting algorithm on each input family under both a cost.Meter and a
 // real timer, and reports the two rankings side by side. The claim being
 // checked is not that virtual units convert to nanoseconds, but that the

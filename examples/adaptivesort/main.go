@@ -1,6 +1,6 @@
 // Adaptive sort on registry-style real-world data — the paper's sort1
 // scenario (Central Contractor Registration FOIA extract, simulated per
-// DESIGN.md substitution 2).
+// docs/ARCHITECTURE.md § Substitutions, item 2).
 //
 // The example trains on registry slices, then contrasts three deployment
 // policies on held-out slices: the trained two-level model, the best

@@ -115,7 +115,7 @@ func GenOutliers(n int, r *rng.RNG) *Points {
 }
 
 // GenLattice simulates the paper's clustering1 workload, the UCI Poker
-// Hand data set (DESIGN.md substitution 3): discrete integer-valued
+// Hand data set (docs/ARCHITECTURE.md § Substitutions, item 3): discrete integer-valued
 // attributes projected to 2-D, producing a small number of dense lattice
 // sites with massive duplication.
 func GenLattice(n int, r *rng.RNG) *Points {

@@ -158,11 +158,12 @@ func GenRuns(n int, r *rng.RNG) *List {
 }
 
 // GenRegistry simulates the paper's sort1 workload, the Central Contractor
-// Registration FOIA extract (DESIGN.md substitution 2). Extract slices vary
-// widely: some are fully sorted by registration id, some are concatenations
-// of per-agency sorted blocks, some carry heavy duplication from
-// re-registrations, and recent appends arrive unsorted — so sortedness and
-// duplication genuinely vary across inputs, as they do across FOIA slices.
+// Registration FOIA extract (docs/ARCHITECTURE.md § Substitutions, item
+// 2). Extract slices vary widely: some are fully sorted by registration
+// id, some are concatenations of per-agency sorted blocks, some carry
+// heavy duplication from re-registrations, and recent appends arrive
+// unsorted — so sortedness and duplication genuinely vary across inputs,
+// as they do across FOIA slices.
 func GenRegistry(n int, r *rng.RNG) *List {
 	d := make([]float64, 0, n)
 	maxDup := r.IntRange(1, 8)

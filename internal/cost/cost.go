@@ -1,5 +1,6 @@
 // Package cost implements the deterministic virtual-time model that stands
-// in for the paper's wall-clock measurements (DESIGN.md substitution 1).
+// in for the paper's wall-clock measurements (docs/ARCHITECTURE.md
+// § Substitutions, item 1).
 //
 // Every algorithm in the benchmark suite charges abstract operations —
 // comparisons, element moves, floating-point operations, bytes scanned — to

@@ -3,6 +3,7 @@ package exp
 import (
 	"encoding/json"
 	"fmt"
+	"os"
 	"runtime"
 	"strings"
 
@@ -180,6 +181,28 @@ func RunBench(names []string, scaleName string, sc Scale, logf func(string, ...a
 // BenchJSON renders the report as indented JSON.
 func (r BenchReport) BenchJSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
+}
+
+// mergeIntoBench folds one serving section into the BENCH trajectory
+// file at path: set replaces that section, and everything else in an
+// existing file (training results, the other sections) is kept. A missing
+// file yields a report holding just the new section; a file that is not a
+// bench report is an error and is left untouched.
+func mergeIntoBench(path string, set func(*BenchReport)) error {
+	var rep BenchReport
+	if data, err := os.ReadFile(path); err == nil {
+		if err := json.Unmarshal(data, &rep); err != nil {
+			return fmt.Errorf("existing %s is not a bench report: %w", path, err)
+		}
+	} else if !os.IsNotExist(err) {
+		return err
+	}
+	set(&rep)
+	data, err := rep.BenchJSON()
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, data, 0o644)
 }
 
 // RenderBench formats the report as a human-readable table.

@@ -14,8 +14,8 @@ import (
 
 // Scale sets the workload and training budget. The paper's scale (50-60k
 // inputs, K1 = 100, hours of tuning) is reachable by raising these; the
-// defaults reproduce the result shapes in seconds (see DESIGN.md
-// substitution 5).
+// defaults reproduce the result shapes in seconds (see
+// docs/ARCHITECTURE.md § Substitutions, item 4).
 type Scale struct {
 	TrainInputs int
 	TestInputs  int

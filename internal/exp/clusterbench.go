@@ -1,17 +1,10 @@
 package exp
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
-	"os"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"inputtune/internal/fleet"
@@ -97,6 +90,7 @@ type FleetArmResult struct {
 	Ejections    uint64 `json:"ejections"`
 	Readmissions uint64 `json:"readmissions"`
 
+	// Throughput and latency count answered requests only.
 	WallSeconds   float64 `json:"wall_seconds"`
 	ThroughputRPS float64 `json:"throughput_rps"`
 	// SpeedupOverSingle is this arm's throughput over the 1-replica
@@ -193,7 +187,7 @@ func (r FleetBenchReport) Failed() bool {
 
 func runClusterArm(scase *servedCase, n int, opts ClusterBenchOptions) (FleetArmResult, error) {
 	logf := opts.Logf
-	bodies, contentType, err := encodeBodies(scase, serve.WireBinary)
+	bodies, err := encodeBodies(scase.c.Prog.Name(), scase.c.Test, serve.WireBinary)
 	if err != nil {
 		return FleetArmResult{}, err
 	}
@@ -211,9 +205,7 @@ func runClusterArm(scase *servedCase, n int, opts ClusterBenchOptions) (FleetArm
 		if _, err := reg.Load(scase.artifact); err != nil {
 			return FleetArmResult{}, err
 		}
-		svc := serve.NewService(reg, serve.Options{})
-		defer svc.Close()
-		replicas[i] = fleet.NewLocalReplica(fmt.Sprintf("replica-%d", i), svc)
+		replicas[i] = fleet.NewLocalReplica(fmt.Sprintf("replica-%d", i), serve.NewService(reg, serve.Options{}))
 		rs[i] = replicas[i]
 	}
 	rt := fleet.NewRouter(rs, fleet.Options{
@@ -226,103 +218,54 @@ func runClusterArm(scase *servedCase, n int, opts ClusterBenchOptions) (FleetArm
 	client := srv.Client()
 	client.Timeout = 60 * time.Second
 
-	perClient := opts.Requests / opts.Clients
-	if perClient < 1 {
-		perClient = 1
-	}
-	total := perClient * opts.Clients
 	kill := opts.Kill && n > 1
-	logf("[cluster-bench %dx] %d clients x %d requests, kill mid-run: %v",
-		n, opts.Clients, perClient, kill)
+	logf("[cluster-bench %dx] %d clients, %d requests, kill mid-run: %v",
+		n, opts.Clients, opts.Requests, kill)
 
-	latencies := make([][]time.Duration, opts.Clients)
-	var failed, mismatched atomic.Uint64
-	var completed atomic.Uint64
-	var wg sync.WaitGroup
-	start := time.Now()
-	for g := 0; g < opts.Clients; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			lat := make([]time.Duration, 0, perClient)
-			for r := 0; r < perClient; r++ {
-				i := (g*perClient + r) % len(bodies)
-				t0 := time.Now()
-				req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/classify", bytes.NewReader(bodies[i]))
-				if err != nil {
-					failed.Add(1)
-					completed.Add(1)
-					continue
-				}
-				req.Header.Set("Content-Type", contentType)
-				req.Header.Set("Accept", serve.ContentTypeBinary)
-				resp, err := client.Do(req)
-				if err != nil {
-					failed.Add(1)
-					completed.Add(1)
-					continue
-				}
-				d, err := serve.DecodeBinaryDecision(resp.Body)
-				resp.Body.Close()
-				lat = append(lat, time.Since(t0))
-				completed.Add(1)
-				switch {
-				case err != nil || resp.StatusCode != http.StatusOK:
-					failed.Add(1)
-				case d.Landmark != scase.want[i]:
-					mismatched.Add(1)
-				}
-			}
-			latencies[g] = lat
-		}(g)
-	}
 	// The injected fault: one replica refuses all connections once ~35% of
 	// the traffic has completed and recovers at ~70% — long enough for the
 	// health loop to eject it and readmit it with load still running.
 	kills := 0
+	var events []loadEvent
 	if kill {
+		kills = 1
 		victim := replicas[n-1]
-		for completed.Load() < uint64(35*total/100) {
-			time.Sleep(200 * time.Microsecond)
+		events = []loadEvent{
+			{after: 35 * opts.Requests / 100, fire: func() error { victim.SetDown(true); return nil }},
+			{after: 70 * opts.Requests / 100, fire: func() error { victim.SetDown(false); return nil }},
 		}
-		victim.SetDown(true)
-		kills++
-		logf("[cluster-bench %dx] killed %s at %d/%d requests", n, victim.Name(), completed.Load(), total)
-		for completed.Load() < uint64(70*total/100) {
-			time.Sleep(200 * time.Microsecond)
-		}
-		victim.SetDown(false)
-		logf("[cluster-bench %dx] restarted %s at %d/%d requests", n, victim.Name(), completed.Load(), total)
+		logf("[cluster-bench %dx] %s goes down after %d requests, back after %d",
+			n, victim.Name(), events[0].after, events[1].after)
 	}
-	wg.Wait()
-	wall := time.Since(start)
-
-	var all []time.Duration
-	for _, lat := range latencies {
-		all = append(all, lat...)
-	}
-	sort.Slice(all, func(a, b int) bool { return all[a] < all[b] })
-	q := func(p float64) float64 {
-		if len(all) == 0 {
-			return 0
-		}
-		return float64(all[int(p*float64(len(all)-1))].Nanoseconds()) / 1e3
+	run, err := driveLoad(loadSpec{
+		url: srv.URL, client: client, bodies: bodies, contentType: serve.ContentTypeBinary,
+		clients: opts.Clients, requests: opts.Requests, events: events,
+	})
+	if err != nil {
+		return FleetArmResult{}, err
 	}
 
+	sum := summarizeLoad(run.recs, run.wall)
+	mismatched := 0
+	for _, r := range run.recs {
+		if r.err == nil && r.landmark != scase.want[r.idx] {
+			mismatched++
+		}
+	}
 	snap := rt.Snapshot()
 	arm := FleetArmResult{
 		Replicas:          n,
-		Requests:          total,
-		FailedRequests:    int(failed.Load()),
-		LabelMismatches:   int(mismatched.Load()),
+		Requests:          len(run.recs),
+		FailedRequests:    sum.failed,
+		LabelMismatches:   mismatched,
 		Kills:             kills,
 		Retries:           snap.Router.Retries,
 		Ejections:         snap.Router.Ejections,
 		Readmissions:      snap.Router.Readmissions,
-		WallSeconds:       wall.Seconds(),
-		ThroughputRPS:     float64(total) / wall.Seconds(),
-		P50Micros:         q(0.50),
-		P99Micros:         q(0.99),
+		WallSeconds:       run.wall.Seconds(),
+		ThroughputRPS:     sum.rps,
+		P50Micros:         sum.p50,
+		P99Micros:         sum.p99,
 		FleetCacheHitRate: snap.FleetHitRate,
 	}
 	for _, r := range snap.Replicas {
@@ -359,22 +302,8 @@ func RenderClusterBench(r FleetBenchReport) string {
 	return b.String()
 }
 
-// MergeFleetIntoBench folds a cluster-bench report into the BENCH
-// trajectory file at path, replacing only the "fleet" section (the
-// training and serve sections are kept when the file exists).
+// MergeFleetIntoBench replaces the "fleet" section of the BENCH file at
+// path (see mergeIntoBench).
 func MergeFleetIntoBench(path string, fb FleetBenchReport) error {
-	var rep BenchReport
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &rep); err != nil {
-			return fmt.Errorf("existing %s is not a bench report: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	rep.Fleet = &fb
-	data, err := rep.BenchJSON()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
+	return mergeIntoBench(path, func(r *BenchReport) { r.Fleet = &fb })
 }

@@ -2,12 +2,9 @@ package exp
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"net/http/httptest"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -167,15 +164,6 @@ func (r DriftBenchReport) Failed() bool {
 	return false
 }
 
-// driftPhaseRecord is one served request's outcome, kept for the offline
-// quality evaluation after the run.
-type driftPhaseRecord struct {
-	idx   int // index into the phase's input slice
-	gen   uint64
-	label int
-	lat   time.Duration
-}
-
 // RunDriftBench closes the full loop end to end over a real loopback HTTP
 // server: train on distribution A, serve A-traffic (detector quiet), shift
 // the live traffic to distribution B (detector fires, the controller
@@ -217,7 +205,6 @@ func RunDriftBench(opts DriftBenchOptions) (DriftBenchReport, error) {
 		return DriftBenchReport{}, err
 	}
 	svc := serve.NewService(reg, serve.Options{})
-	defer svc.Close()
 
 	// Capture every published generation's artifact for the offline label
 	// and quality checks; publishes go through the service hot-reload path.
@@ -268,11 +255,24 @@ func RunDriftBench(opts DriftBenchOptions) (DriftBenchReport, error) {
 	rep.SingleCore, rep.Note = singleCoreCaveat(
 		"GOMAXPROCS=1: the background retrain shares the core with serving, so shifted-phase latency includes retrain CPU contention")
 
+	// drive sends the first n inputs once each over the binary wire.
+	drive := func(inputs []core.Input, n int, completed *atomic.Uint64) ([]loadRecord, error) {
+		bodies, err := encodeBodies("sort", inputs[:n], serve.WireBinary)
+		if err != nil {
+			return nil, err
+		}
+		run, err := driveLoad(loadSpec{
+			url: srv.URL, client: client, bodies: bodies, contentType: serve.ContentTypeBinary,
+			clients: opts.Clients, requests: n, completed: completed,
+		})
+		return run.recs, err
+	}
+
 	// Phase 1 — pre-shift: in-distribution traffic, fresh seed. The
 	// detector must stay quiet.
 	preIn := driftSortInputs(sortbench.MixOptions{Count: opts.PreRequests, Seed: sc.Seed + 20011, MaxSize: 512})
 	logf("[drift-bench] pre-shift phase: %d in-distribution requests", len(preIn))
-	preRecs, preFailed, err := driveDriftPhase(srv.URL, client, preIn, opts.Clients, nil)
+	preRecs, err := drive(preIn, len(preIn), nil)
 	if err != nil {
 		return rep, fmt.Errorf("pre-shift phase: %w", err)
 	}
@@ -307,23 +307,18 @@ func RunDriftBench(opts DriftBenchOptions) (DriftBenchReport, error) {
 			}
 		}
 	}()
-	shiftRecs, shiftFailed, err := driveDriftPhase(srv.URL, client, shiftIn, opts.Clients, &completed)
+	shiftRecs, err := drive(shiftIn, len(shiftIn), &completed)
 	if err != nil {
 		return rep, fmt.Errorf("shift phase: %w", err)
 	}
 	// Keep traffic flowing in bounded extra tranches until the retrain
 	// publishes: the loop closes on live traffic, not on an idle server.
 	for extra := 0; ctrl.Retrains("sort") == 0 && extra < 20; extra++ {
-		tranche := shiftIn
-		if len(tranche) > 256 {
-			tranche = tranche[:256]
-		}
-		recs, failed, err := driveDriftPhase(srv.URL, client, tranche, opts.Clients, &completed)
+		recs, err := drive(shiftIn, min(len(shiftIn), 256), &completed)
 		if err != nil {
 			return rep, fmt.Errorf("shift phase (extra tranche %d): %w", extra, err)
 		}
 		shiftRecs = append(shiftRecs, recs...)
-		shiftFailed += failed
 		ctrlStatus := ctrl.Status()["sort"]
 		if !ctrlStatus.Drifted && !ctrlStatus.Retraining {
 			continue
@@ -340,7 +335,7 @@ func RunDriftBench(opts DriftBenchOptions) (DriftBenchReport, error) {
 		rep.RetrainSeconds = float64(firstPublish.Load()-firedAt.Load()) / 1e9
 	}
 	if !rep.DetectorFired || rep.Retrains == 0 {
-		rep.Phases = summarizeDriftPhases(nil, preIn, preRecs, preFailed, shiftIn, shiftRecs, shiftFailed, nil, nil, 0)
+		rep.Phases = summarizeDriftPhases(nil, [][]core.Input{preIn, shiftIn}, [][]loadRecord{preRecs, shiftRecs})
 		return rep, fmt.Errorf("drift-bench: detector fired=%v, retrains=%d after %d shifted requests — the loop never closed",
 			rep.DetectorFired, rep.Retrains, len(shiftRecs))
 	}
@@ -351,7 +346,7 @@ func RunDriftBench(opts DriftBenchOptions) (DriftBenchReport, error) {
 	// the retrained generation.
 	postIn := driftSortInputs(sortbench.MixOptions{Count: opts.PostRequests, Seed: sc.Seed + 40031, RealLike: true, MinSize: 1024, MaxSize: 2048})
 	logf("[drift-bench] post-retrain phase: %d shifted requests on the new model", len(postIn))
-	postRecs, postFailed, err := driveDriftPhase(srv.URL, client, postIn, opts.Clients, nil)
+	postRecs, err := drive(postIn, len(postIn), nil)
 	if err != nil {
 		return rep, fmt.Errorf("post-retrain phase: %w", err)
 	}
@@ -374,8 +369,10 @@ func RunDriftBench(opts DriftBenchOptions) (DriftBenchReport, error) {
 	artMu.Unlock()
 	logf("[drift-bench] scoring %d+%d+%d responses across %d generations",
 		len(preRecs), len(shiftRecs), len(postRecs), len(models))
-	rep.Phases = summarizeDriftPhases(models, preIn, preRecs, preFailed, shiftIn, shiftRecs, shiftFailed, postIn, postRecs, postFailed)
-	scoreDriftPhases(rep.Phases, models, [][]core.Input{preIn, shiftIn, postIn}, [][]driftPhaseRecord{preRecs, shiftRecs, postRecs})
+	inputs := [][]core.Input{preIn, shiftIn, postIn}
+	recs := [][]loadRecord{preRecs, shiftRecs, postRecs}
+	rep.Phases = summarizeDriftPhases(models, inputs, recs)
+	scoreDriftPhases(rep.Phases, models, inputs, recs)
 
 	pre, shifted, post := rep.Phases[0], rep.Phases[1], rep.Phases[2]
 	rep.QualityRecovered = post.MeanSlowdown <= pre.MeanSlowdown*1.15 && post.MeanSlowdown <= shifted.MeanSlowdown
@@ -393,139 +390,51 @@ func driftSortInputs(o sortbench.MixOptions) []core.Input {
 	return out
 }
 
-// driveDriftPhase pushes every input through /v1/classify once over the
-// binary wire with the given client concurrency, recording the serving
-// generation, label and latency per response. completed, when non-nil, is
-// bumped per finished request for the shift-phase monitor.
-func driveDriftPhase(url string, client *http.Client, inputs []core.Input, clients int, completed *atomic.Uint64) ([]driftPhaseRecord, int, error) {
-	bodies := make([][]byte, len(inputs))
-	for i, in := range inputs {
-		var buf bytes.Buffer
-		if err := serve.EncodeBinaryRequest(&buf, "sort", in); err != nil {
-			return nil, 0, err
-		}
-		bodies[i] = buf.Bytes()
-	}
-	perClient := len(bodies) / clients
-	if perClient < 1 {
-		perClient = 1
-		clients = len(bodies)
-	}
-	recs := make([][]driftPhaseRecord, clients)
-	var failed atomic.Uint64
-	var wg sync.WaitGroup
-	for g := 0; g < clients; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			lo, hi := g*perClient, (g+1)*perClient
-			if g == clients-1 {
-				hi = len(bodies)
-			}
-			out := make([]driftPhaseRecord, 0, hi-lo)
-			for i := lo; i < hi; i++ {
-				t0 := time.Now()
-				req, err := http.NewRequest(http.MethodPost, url+"/v1/classify", bytes.NewReader(bodies[i]))
-				if err != nil {
-					failed.Add(1)
-					bump(completed)
-					continue
-				}
-				req.Header.Set("Content-Type", serve.ContentTypeBinary)
-				req.Header.Set("Accept", serve.ContentTypeBinary)
-				resp, err := client.Do(req)
-				if err != nil {
-					failed.Add(1)
-					bump(completed)
-					continue
-				}
-				d, err := serve.DecodeBinaryDecision(resp.Body)
-				resp.Body.Close()
-				bump(completed)
-				if err != nil || resp.StatusCode != http.StatusOK {
-					failed.Add(1)
-					continue
-				}
-				out = append(out, driftPhaseRecord{idx: i, gen: d.Generation, label: d.Landmark, lat: time.Since(t0)})
-			}
-			recs[g] = out
-		}(g)
-	}
-	wg.Wait()
-	var all []driftPhaseRecord
-	for _, r := range recs {
-		all = append(all, r...)
-	}
-	return all, int(failed.Load()), nil
-}
+// driftPhaseNames names the phases in run order.
+var driftPhaseNames = []string{"pre_shift", "shifted", "post_retrain"}
 
-func bump(c *atomic.Uint64) {
-	if c != nil {
-		c.Add(1)
-	}
-}
-
-// summarizeDriftPhases builds the three phase rows (latency quantiles,
-// failure counts, generations served); quality is filled in by
-// scoreDriftPhases. A nil models map (the never-fired error path) skips
-// the label check.
-func summarizeDriftPhases(models map[uint64]*core.Model,
-	preIn []core.Input, preRecs []driftPhaseRecord, preFailed int,
-	shiftIn []core.Input, shiftRecs []driftPhaseRecord, shiftFailed int,
-	postIn []core.Input, postRecs []driftPhaseRecord, postFailed int) []DriftPhaseResult {
-	phase := func(name string, inputs []core.Input, recs []driftPhaseRecord, failed int) DriftPhaseResult {
-		p := DriftPhaseResult{Phase: name, Requests: len(recs) + failed, FailedRequests: failed}
+// summarizeDriftPhases builds one row per phase run (latency quantiles,
+// failure counts, generations served, label mismatches); quality is filled
+// in by scoreDriftPhases. A nil models map (the never-fired error path)
+// skips the label check.
+func summarizeDriftPhases(models map[uint64]*core.Model, inputs [][]core.Input, recs [][]loadRecord) []DriftPhaseResult {
+	out := make([]DriftPhaseResult, len(recs))
+	for pi, phaseRecs := range recs {
+		sum := summarizeLoad(phaseRecs, 0)
+		p := DriftPhaseResult{Phase: driftPhaseNames[pi], Requests: len(phaseRecs), FailedRequests: sum.failed,
+			P50Micros: sum.p50, P99Micros: sum.p99}
 		seenGen := map[uint64]bool{}
-		lats := make([]time.Duration, 0, len(recs))
-		for _, r := range recs {
-			seenGen[r.gen] = true
-			lats = append(lats, r.lat)
-		}
-		for gen := range seenGen {
-			p.GenerationsServed = append(p.GenerationsServed, gen)
-		}
-		sort.Slice(p.GenerationsServed, func(i, j int) bool { return p.GenerationsServed[i] < p.GenerationsServed[j] })
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		if len(lats) > 0 {
-			p.P50Micros = float64(lats[len(lats)/2].Nanoseconds()) / 1e3
-			p.P99Micros = float64(lats[int(0.99*float64(len(lats)-1))].Nanoseconds()) / 1e3
-		}
-		if models != nil {
-			// Label check: each response against the offline classification
-			// of the exact generation that served it.
-			type lk struct {
-				gen uint64
-				idx int
+		// Label check: each response against the offline classification
+		// of the exact generation that served it.
+		checked := map[[2]uint64]int{} // (gen, idx) -> offline label
+		for _, r := range phaseRecs {
+			if r.err != nil {
+				continue
 			}
-			checked := map[lk]int{}
-			for _, r := range recs {
-				k := lk{r.gen, r.idx}
-				if want, ok := checked[k]; ok {
-					if want != r.label {
-						p.LabelMismatches++
-					}
-					continue
-				}
+			if !seenGen[r.gen] {
+				seenGen[r.gen] = true
+				p.GenerationsServed = append(p.GenerationsServed, r.gen)
+			}
+			if models == nil {
+				continue
+			}
+			k := [2]uint64{r.gen, uint64(r.idx)}
+			want, ok := checked[k]
+			if !ok {
 				m := models[r.gen]
 				if m == nil {
 					p.LabelMismatches++
 					continue
 				}
-				want := m.Production.ClassifyInput(m.Program.Features(), inputs[r.idx], nil)
+				want = m.Production.ClassifyInput(m.Program.Features(), inputs[pi][r.idx], nil)
 				checked[k] = want
-				if r.label != want {
-					p.LabelMismatches++
-				}
+			}
+			if r.landmark != want {
+				p.LabelMismatches++
 			}
 		}
-		return p
-	}
-	out := []DriftPhaseResult{
-		phase("pre_shift", preIn, preRecs, preFailed),
-		phase("shifted", shiftIn, shiftRecs, shiftFailed),
-	}
-	if postIn != nil || postRecs != nil {
-		out = append(out, phase("post_retrain", postIn, postRecs, postFailed))
+		sort.Slice(p.GenerationsServed, func(i, j int) bool { return p.GenerationsServed[i] < p.GenerationsServed[j] })
+		out[pi] = p
 	}
 	return out
 }
@@ -536,7 +445,7 @@ func summarizeDriftPhases(models map[uint64]*core.Model,
 // the classifier picked among the choices it had (the quantity drift
 // corrupts and a retrain repairs). Costs are deterministic (cost.Meter
 // virtual time), so the same decisions always score the same.
-func scoreDriftPhases(phases []DriftPhaseResult, models map[uint64]*core.Model, inputs [][]core.Input, recs [][]driftPhaseRecord) {
+func scoreDriftPhases(phases []DriftPhaseResult, models map[uint64]*core.Model, inputs [][]core.Input, recs [][]loadRecord) {
 	prog := sortbench.New()
 	for pi := range phases {
 		oracle := map[[2]uint64]float64{} // (gen, idx) -> best landmark cost for that generation
@@ -544,11 +453,11 @@ func scoreDriftPhases(phases []DriftPhaseResult, models map[uint64]*core.Model, 
 		var sum float64
 		var n int
 		for _, r := range recs[pi] {
-			in := inputs[pi][r.idx]
 			m := models[r.gen]
-			if m == nil || r.label >= len(m.Landmarks) {
+			if r.err != nil || m == nil || r.landmark >= len(m.Landmarks) {
 				continue
 			}
+			in := inputs[pi][r.idx]
 			k := [2]uint64{r.gen, uint64(r.idx)}
 			oc, ok := oracle[k]
 			if !ok {
@@ -562,7 +471,7 @@ func scoreDriftPhases(phases []DriftPhaseResult, models map[uint64]*core.Model, 
 			}
 			scost, ok2 := served[k]
 			if !ok2 {
-				scost, _ = core.Measure(prog, m.Landmarks[r.label], in)
+				scost, _ = core.Measure(prog, m.Landmarks[r.landmark], in)
 				served[k] = scost
 			}
 			if oc > 0 {
@@ -602,23 +511,10 @@ func RenderDriftBench(r DriftBenchReport) string {
 	return b.String()
 }
 
-// MergeDriftIntoBench folds a drift-bench report into the BENCH trajectory
-// file at path, replacing only the "drift" section.
+// MergeDriftIntoBench replaces the "drift" section of the BENCH file at
+// path (see mergeIntoBench).
 func MergeDriftIntoBench(path string, db DriftBenchReport) error {
-	var rep BenchReport
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &rep); err != nil {
-			return fmt.Errorf("existing %s is not a bench report: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	rep.Drift = &db
-	data, err := rep.BenchJSON()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
+	return mergeIntoBench(path, func(r *BenchReport) { r.Drift = &db })
 }
 
 // slogFromLogf adapts the bench's printf-style progress logger to the

@@ -207,7 +207,8 @@ func RenderAblation(results []AblationResult) string {
 
 // TuneSamplesResult compares landmark tuning against a single centroid
 // input (the literal reading of the paper) with tuning against a spread of
-// cluster members (our PetaBricks-confidence refinement, DESIGN.md §5.2).
+// cluster members (our PetaBricks-confidence refinement,
+// docs/ARCHITECTURE.md § Substitutions, item 5).
 type TuneSamplesResult struct {
 	Name    string
 	Samples int

@@ -2,16 +2,12 @@ package exp
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"inputtune/internal/core"
@@ -87,9 +83,9 @@ type ServeCaseResult struct {
 	// versus the untraced binary arm (negative = noise in its favor).
 	Traced           bool    `json:"traced,omitempty"`
 	TraceOverheadPct float64 `json:"trace_overhead_pct,omitempty"`
-	// Requests actually issued; FailedRequests MUST be zero (non-200, a
-	// transport error, or a label differing from the offline
-	// classification all count as failures).
+	// Requests sent, the whole budget; FailedRequests MUST be zero (a
+	// transport error, a non-200 status, an undecodable body, or a label
+	// differing from the offline classification all count as failures).
 	Requests       int `json:"requests"`
 	FailedRequests int `json:"failed_requests"`
 	// Reloads fired mid-run; GenerationEnd is the registry generation
@@ -97,6 +93,7 @@ type ServeCaseResult struct {
 	Reloads       int    `json:"reloads"`
 	GenerationEnd uint64 `json:"generation_end"`
 
+	// Throughput and latency count answered requests only.
 	WallSeconds   float64 `json:"wall_seconds"`
 	ThroughputRPS float64 `json:"throughput_rps"`
 	P50Micros     float64 `json:"latency_p50_us"`
@@ -218,39 +215,6 @@ func runServeCase(name string, opts ServeBenchOptions) ([]ServeCaseResult, error
 	return results, nil
 }
 
-// encodeBodies renders every test input as one request body in the given
-// wire format, plus the matching Content-Type.
-func encodeBodies(sc *servedCase, wire serve.Wire) (bodies [][]byte, contentType string, err error) {
-	codec, err := serve.LookupCodec(sc.c.Prog.Name())
-	if err != nil {
-		return nil, "", err
-	}
-	bodies = make([][]byte, len(sc.c.Test))
-	for i, in := range sc.c.Test {
-		var buf bytes.Buffer
-		switch wire {
-		case serve.WireJSON:
-			raw, err := codec.EncodeJSON(in)
-			if err != nil {
-				return nil, "", err
-			}
-			bodies[i], err = json.Marshal(struct {
-				Benchmark string          `json:"benchmark"`
-				Input     json.RawMessage `json:"input"`
-			}{sc.c.Prog.Name(), raw})
-			if err != nil {
-				return nil, "", err
-			}
-		case serve.WireBinary:
-			if err := codec.Encode(serve.WireBinary, &buf, in); err != nil {
-				return nil, "", err
-			}
-			bodies[i] = buf.Bytes()
-		}
-	}
-	return bodies, wire.ContentType(), nil
-}
-
 // runServeArm serves one case over one wire format with a fresh service,
 // so cache statistics, metrics and pool warmup never leak across arms.
 // Every arm runs with a tracer installed — untraced arms at sample 0, so
@@ -258,8 +222,7 @@ func encodeBodies(sc *servedCase, wire serve.Wire) (bodies [][]byte, contentType
 // zero-allocation guarantee covers, not a tracer-free build; the traced
 // arm samples every request.
 func runServeArm(name string, sc *servedCase, wire serve.Wire, traced bool, opts ServeBenchOptions) (ServeCaseResult, error) {
-	logf := opts.Logf
-	bodies, contentType, err := encodeBodies(sc, wire)
+	bodies, err := encodeBodies(sc.c.Prog.Name(), sc.c.Test, wire)
 	if err != nil {
 		return ServeCaseResult{}, err
 	}
@@ -276,7 +239,6 @@ func runServeArm(name string, sc *servedCase, wire serve.Wire, traced bool, opts
 		Cache:  serve.CacheOptions{Disable: opts.DisableDecisionCache},
 		Tracer: obs.New(obs.Options{SampleEvery: sampleEvery}),
 	})
-	defer svc.Close()
 	if _, err := svc.Load(sc.artifact); err != nil {
 		return ServeCaseResult{}, err
 	}
@@ -285,118 +247,51 @@ func runServeArm(name string, sc *servedCase, wire serve.Wire, traced bool, opts
 	client := srv.Client()
 	client.Timeout = 60 * time.Second
 
-	perClient := opts.Requests / opts.Clients
-	if perClient < 1 {
-		perClient = 1
-	}
-	total := perClient * opts.Clients
 	armLabel := wire.String()
 	if traced {
 		armLabel += "+traced"
 	}
-	logf("[serve-bench %s/%s] %d clients x %d requests, %d hot reloads mid-run",
-		name, armLabel, opts.Clients, perClient, opts.Reloads)
+	opts.Logf("[serve-bench %s/%s] %d clients, %d requests, %d hot reloads mid-run",
+		name, armLabel, opts.Clients, opts.Requests, opts.Reloads)
 
-	latencies := make([][]time.Duration, opts.Clients)
-	var failed atomic.Uint64
-	var issued atomic.Uint64
-	var completed atomic.Uint64 // every attempt, success or not
-	var wg sync.WaitGroup
-	runtime.GC()
-	var m0 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	for g := 0; g < opts.Clients; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			lat := make([]time.Duration, 0, perClient)
-			for r := 0; r < perClient; r++ {
-				i := (g*perClient + r) % len(bodies)
-				t0 := time.Now()
-				req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/classify", bytes.NewReader(bodies[i]))
-				if err != nil {
-					failed.Add(1)
-					completed.Add(1)
-					continue
-				}
-				req.Header.Set("Content-Type", contentType)
-				if wire == serve.WireBinary {
-					// The binary arm measures the full binary round trip:
-					// negotiate the ITD1 response frame too.
-					req.Header.Set("Accept", serve.ContentTypeBinary)
-				}
-				resp, err := client.Do(req)
-				if err != nil {
-					failed.Add(1)
-					completed.Add(1)
-					continue
-				}
-				var d serve.Decision
-				if resp.Header.Get("Content-Type") == serve.ContentTypeBinary {
-					var bd *serve.Decision
-					if bd, err = serve.DecodeBinaryDecision(resp.Body); err == nil {
-						d = *bd
-					}
-				} else {
-					err = json.NewDecoder(resp.Body).Decode(&d)
-				}
-				resp.Body.Close()
-				lat = append(lat, time.Since(t0))
-				issued.Add(1)
-				completed.Add(1)
-				if err != nil || resp.StatusCode != http.StatusOK || d.Landmark != sc.want[i] {
-					failed.Add(1)
-				}
-			}
-			latencies[g] = lat
-		}(g)
-	}
 	// Hot reloads spaced evenly through the request budget (reload r fires
 	// once (r+1)/(Reloads+1) of the traffic has completed, so the swap
 	// lands on warm-cache steady-state traffic, not the cold start). Each
 	// must succeed, and — the acceptance criterion — cost zero failed
 	// requests.
-	reloadsDone := 0
-	for r := 0; r < opts.Reloads; r++ {
-		target := uint64((r + 1) * total / (opts.Reloads + 1))
-		for completed.Load() < target {
-			time.Sleep(500 * time.Microsecond)
-		}
-		resp, err := client.Post(srv.URL+"/v1/reload", "application/json", bytes.NewReader(sc.artifact))
-		if err != nil {
-			return ServeCaseResult{}, fmt.Errorf("hot reload %d: %w", r, err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return ServeCaseResult{}, fmt.Errorf("hot reload %d: status %d", r, resp.StatusCode)
-		}
-		reloadsDone++
+	reloads := make([]loadEvent, opts.Reloads)
+	for r := range reloads {
+		reloads[r] = loadEvent{after: (r + 1) * opts.Requests / (opts.Reloads + 1), fire: func() error {
+			resp, err := client.Post(srv.URL+"/v1/reload", "application/json", bytes.NewReader(sc.artifact))
+			if err != nil {
+				return fmt.Errorf("hot reload: %w", err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				return fmt.Errorf("hot reload: status %d", resp.StatusCode)
+			}
+			return nil
+		}}
 	}
-	wg.Wait()
-	wall := time.Since(start)
+	runtime.GC()
+	var m0 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	run, err := driveLoad(loadSpec{
+		url: srv.URL, client: client, bodies: bodies, contentType: wire.ContentType(),
+		clients: opts.Clients, requests: opts.Requests, events: reloads,
+	})
+	if err != nil {
+		return ServeCaseResult{}, err
+	}
 	var m1 runtime.MemStats
 	runtime.ReadMemStats(&m1)
 
-	var all []time.Duration
-	for _, lat := range latencies {
-		all = append(all, lat...)
-	}
-	sort.Slice(all, func(a, b int) bool { return all[a] < all[b] })
-	q := func(p float64) float64 {
-		if len(all) == 0 {
-			return 0
+	sum := summarizeLoad(run.recs, run.wall)
+	failed := sum.failed
+	for _, r := range run.recs {
+		if r.err == nil && r.landmark != sc.want[r.idx] {
+			failed++
 		}
-		i := int(p * float64(len(all)-1))
-		return float64(all[i].Nanoseconds()) / 1e3
-	}
-	var sum time.Duration
-	for _, d := range all {
-		sum += d
-	}
-	mean := 0.0
-	if len(all) > 0 {
-		mean = float64(sum.Nanoseconds()) / 1e3 / float64(len(all))
 	}
 	cs := svc.CacheStats()
 	snap, _ := reg.Get(sc.c.Prog.Name())
@@ -405,23 +300,23 @@ func runServeArm(name string, sc *servedCase, wire serve.Wire, traced bool, opts
 		Benchmark:        sc.c.Prog.Name(),
 		Wire:             wire.String(),
 		Traced:           traced,
-		Requests:         total,
-		FailedRequests:   int(failed.Load()),
-		Reloads:          reloadsDone,
+		Requests:         len(run.recs),
+		FailedRequests:   failed,
+		Reloads:          len(reloads),
 		GenerationEnd:    snap.Generation,
-		WallSeconds:      wall.Seconds(),
-		ThroughputRPS:    float64(issued.Load()) / wall.Seconds(),
-		P50Micros:        q(0.50),
-		P90Micros:        q(0.90),
-		P99Micros:        q(0.99),
-		MeanMicros:       mean,
-		AllocsPerRequest: float64(m1.Mallocs-m0.Mallocs) / float64(total),
+		WallSeconds:      run.wall.Seconds(),
+		ThroughputRPS:    sum.rps,
+		P50Micros:        sum.p50,
+		P90Micros:        sum.p90,
+		P99Micros:        sum.p99,
+		MeanMicros:       sum.avg,
+		AllocsPerRequest: float64(m1.Mallocs-m0.Mallocs) / float64(len(run.recs)),
 		RequestBytes:     medianLen(bodies),
 		CacheHits:        cs.Hits,
 		CacheMisses:      cs.Misses,
 		CacheHitRate:     cs.HitRate(),
 	}
-	logf("[serve-bench %s/%s] %.0f req/s, p50 %.0fµs p99 %.0fµs, %.0f allocs/req, %d failed, cache hit %.1f%%",
+	opts.Logf("[serve-bench %s/%s] %.0f req/s, p50 %.0fµs p99 %.0fµs, %.0f allocs/req, %d failed, cache hit %.1f%%",
 		name, armLabel, res.ThroughputRPS, res.P50Micros, res.P99Micros,
 		res.AllocsPerRequest, res.FailedRequests, 100*res.CacheHitRate)
 	return res, nil
@@ -463,23 +358,8 @@ func RenderServeBench(r ServeBenchReport) string {
 	return b.String()
 }
 
-// MergeServeIntoBench folds a serve-bench report into the BENCH
-// trajectory file at path: if the file exists its training-side results
-// are kept and only the "serve" section is replaced; otherwise a minimal
-// report holding just the serve section is written.
+// MergeServeIntoBench replaces the "serve" section of the BENCH file at
+// path (see mergeIntoBench).
 func MergeServeIntoBench(path string, sb ServeBenchReport) error {
-	var rep BenchReport
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &rep); err != nil {
-			return fmt.Errorf("existing %s is not a bench report: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	rep.Serve = &sb
-	data, err := rep.BenchJSON()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
+	return mergeIntoBench(path, func(r *BenchReport) { r.Serve = &sb })
 }

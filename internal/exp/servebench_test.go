@@ -104,45 +104,76 @@ func TestRunServeBenchNoReloadBaseline(t *testing.T) {
 	}
 }
 
+// TestMergeServeIntoBench merges each serving section (serve, fleet,
+// drift) into a fresh file and into an existing one: the merged section
+// must land and everything else — training results and the other two
+// sections — must survive.
 func TestMergeServeIntoBench(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "BENCH_test.json")
-
-	// Merge into a fresh file.
-	sb := ServeBenchReport{Clients: 2, Requests: 10,
+	serveSec := &ServeBenchReport{Clients: 2, Requests: 10,
 		Results: []ServeCaseResult{{Case: "sort2", Benchmark: "sort", Requests: 10}}}
-	if err := MergeServeIntoBench(path, sb); err != nil {
-		t.Fatal(err)
+	fleetSec := &FleetBenchReport{Case: "sort2", Clients: 3, Requests: 20,
+		Arms: []FleetArmResult{{Replicas: 2, Requests: 20, Kills: 1}}}
+	driftSec := &DriftBenchReport{Benchmark: "sort", Clients: 4, Window: 128,
+		Phases: []DriftPhaseResult{{Phase: "pre_shift", Requests: 30}}}
+	full := BenchReport{Scale: "quick", Seed: 42,
+		Results: []BenchResult{{Benchmark: "sort1", WallSeconds: 1}},
+		Serve:   serveSec, Fleet: fleetSec, Drift: driftSec}
+	cases := []struct {
+		name  string
+		merge func(path string) error
+		// only keeps just the section this case merges; without drops it.
+		only, without func(r BenchReport) BenchReport
+	}{
+		{"serve", func(p string) error { return MergeServeIntoBench(p, *serveSec) },
+			func(r BenchReport) BenchReport { return BenchReport{Serve: r.Serve} },
+			func(r BenchReport) BenchReport { r.Serve = nil; return r }},
+		{"fleet", func(p string) error { return MergeFleetIntoBench(p, *fleetSec) },
+			func(r BenchReport) BenchReport { return BenchReport{Fleet: r.Fleet} },
+			func(r BenchReport) BenchReport { r.Fleet = nil; return r }},
+		{"drift", func(p string) error { return MergeDriftIntoBench(p, *driftSec) },
+			func(r BenchReport) BenchReport { return BenchReport{Drift: r.Drift} },
+			func(r BenchReport) BenchReport { r.Drift = nil; return r }},
 	}
-	// Merge must preserve existing training-side results.
-	existing := BenchReport{Scale: "quick", Seed: 42,
-		Results: []BenchResult{{Benchmark: "sort1", WallSeconds: 1}}}
-	data, _ := json.Marshal(existing)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := MergeServeIntoBench(path, sb); err != nil {
-		t.Fatal(err)
-	}
-	out, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var merged BenchReport
-	if err := json.Unmarshal(out, &merged); err != nil {
-		t.Fatal(err)
-	}
-	if merged.Scale != "quick" || len(merged.Results) != 1 || merged.Results[0].Benchmark != "sort1" {
-		t.Fatalf("merge clobbered training results: %+v", merged)
-	}
-	if merged.Serve == nil || merged.Serve.Clients != 2 || len(merged.Serve.Results) != 1 {
-		t.Fatalf("merge lost serve section: %+v", merged.Serve)
-	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "BENCH_test.json")
+			// mergeAndCheck merges this case's section into path and
+			// compares the file with want, byte for byte as JSON.
+			mergeAndCheck := func(what string, want BenchReport) {
+				t.Helper()
+				if err := tc.merge(path); err != nil {
+					t.Fatal(err)
+				}
+				got, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wantJSON, _ := want.BenchJSON(); string(got) != string(wantJSON) {
+					t.Fatalf("%s: file is\n%s\nwant\n%s", what, got, wantJSON)
+				}
+			}
 
-	// A non-bench file must be rejected, not overwritten.
-	badPath := filepath.Join(dir, "notbench.json")
-	os.WriteFile(badPath, []byte("[1,2,3]"), 0o644)
-	if err := MergeServeIntoBench(badPath, sb); err == nil {
-		t.Fatal("merged into a non-bench file")
+			mergeAndCheck("merge into a fresh file", tc.only(full))
+			// An existing file keeps its training results and the other
+			// two sections.
+			data, _ := json.Marshal(tc.without(full))
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			mergeAndCheck("merge into an existing file", full)
+
+			// A non-bench file must be rejected, not overwritten.
+			badPath := filepath.Join(dir, "notbench.json")
+			if err := os.WriteFile(badPath, []byte("[1,2,3]"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.merge(badPath); err == nil {
+				t.Fatal("merged into a non-bench file")
+			}
+			if data, _ := os.ReadFile(badPath); string(data) != "[1,2,3]" {
+				t.Fatalf("non-bench file overwritten: %s", data)
+			}
+		})
 	}
 }

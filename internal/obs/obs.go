@@ -103,8 +103,7 @@ func (t *Trace) Span(name string, start time.Time) {
 	t.SpanAt(name, start, time.Now())
 }
 
-// SpanAt records a stage with explicit bounds (the batcher back-dates
-// batch_wait to the enqueue time).
+// SpanAt records a stage with explicit bounds.
 func (t *Trace) SpanAt(name string, start, end time.Time) {
 	if t == nil {
 		return

@@ -490,7 +490,7 @@ func MGCycle3D(op *Helmholtz3D, u, f *Grid3D, opt MGOptions3D, w *Work) {
 // operator (a replaced by its mean) exactly via 3-D sine transforms. For
 // genuinely variable coefficients the result is only an approximation —
 // which is precisely the accuracy/speed trade the benchmark's autotuner
-// must navigate (see the poisson2d/helmholtz3d DESIGN.md entries).
+// must navigate.
 func DirectHelmholtz3D(op *Helmholtz3D, f *Grid3D, w *Work) *Grid3D {
 	n := f.N
 	h := f.h()

@@ -191,15 +191,13 @@ func TestHTTPBinaryResponseRefusedWithoutWire(t *testing.T) {
 	}
 }
 
-// TestHTTPBinaryRequestBatched drives binary frames through a sharded
-// service, exercising the undecoded-frame handoff to shard workers:
-// every label must match the offline ground truth, and a malformed
-// frame must still come back as a 400 even though the decode failure
-// happens on a worker goroutine.
-func TestHTTPBinaryRequestBatched(t *testing.T) {
+// TestHTTPBinaryRequestParity drives binary frames over HTTP: every
+// label must match the offline ground truth, and a malformed frame must
+// come back as a 400 even though the decode failure happens inside the
+// service rather than in the handler.
+func TestHTTPBinaryRequestParity(t *testing.T) {
 	reg := sortServiceRegistry(t)
-	svc := NewService(reg, Options{Shards: 2, MaxBatch: 4})
-	t.Cleanup(svc.Close)
+	svc := NewService(reg, Options{})
 	srv := newLocalServer(t, svc)
 	want := offlineLabels(testModels.sortModel, testModels.sortInputs)
 

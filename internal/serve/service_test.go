@@ -87,12 +87,12 @@ func TestServiceUnknownBenchmark(t *testing.T) {
 	}
 }
 
-// TestBatcherParityAndShutdown routes traffic through the sharded
-// batching layer and checks labels stay bit-identical, then verifies an
-// orderly shutdown.
-func TestBatcherParityAndShutdown(t *testing.T) {
+// TestConcurrentClassifyParity hammers one service from 12 goroutines
+// and checks every label stays bit-identical to the offline
+// classification; Close stays callable and idempotent.
+func TestConcurrentClassifyParity(t *testing.T) {
 	reg := sortServiceRegistry(t)
-	svc := NewService(reg, Options{Shards: 2, MaxBatch: 4})
+	svc := NewService(reg, Options{})
 	want := offlineLabels(testModels.sortModel, testModels.sortInputs)
 
 	const goroutines = 12
@@ -109,7 +109,7 @@ func TestBatcherParityAndShutdown(t *testing.T) {
 					return
 				}
 				if d.Landmark != want[i] {
-					errCh <- fmt.Errorf("input %d: batched %d, offline %d", i, d.Landmark, want[i])
+					errCh <- fmt.Errorf("input %d: served %d, offline %d", i, d.Landmark, want[i])
 					return
 				}
 			}
@@ -121,9 +121,6 @@ func TestBatcherParityAndShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc.Close()
-	if _, err := svc.Classify("sort", testModels.sortInputs[0]); err == nil {
-		t.Fatal("classify after Close succeeded")
-	}
 	svc.Close() // idempotent
 }
 
